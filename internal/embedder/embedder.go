@@ -147,16 +147,10 @@ func (o *Oracle) MinCostEmbed(app *vnet.App, ingress graph.NodeID) (*vnet.Embedd
 // jointly-overloaded node.
 type Restriction func(vnet.VNFID, graph.NodeID) bool
 
-// MinCostEmbedRestricted is MinCostEmbed with per-VNF node restrictions.
-//
-//olive:hotpath FULLG branch-out retry primitive
-func (o *Oracle) MinCostEmbedRestricted(app *vnet.App, ingress graph.NodeID, allow Restriction) (*vnet.Embedding, float64, bool) {
-	return o.minCost(o.st, app, ingress, allow)
-}
-
-// MinCostEmbedExcluded is MinCostEmbedRestricted with substrate elements
-// excluded wholesale: excluded nodes get +Inf placement price and excluded
-// links +Inf path weight. This is the FULLG capacity branch-out's retry
+// MinCostEmbedExcluded is MinCostEmbed with per-VNF node restrictions
+// (allow; nil allows every node) and substrate elements excluded
+// wholesale: excluded nodes get +Inf placement price and excluded links
+// +Inf path weight. This is the FULLG capacity branch-out's retry
 // primitive — it reuses pooled exclusion views instead of rebuilding an
 // oracle, so a retry performs no all-pairs computation.
 //
@@ -483,11 +477,4 @@ func (o *Oracle) KCheapestCollocated(app *vnet.App, ingress graph.NodeID, k int)
 		}
 	}
 	return out
-}
-
-// MinCostEmbedExcluding runs MinCostEmbed with additional elements
-// excluded (price +Inf) — the FULLG capacity branch-out uses it to retry
-// around saturated elements. The exclusion set maps element IDs to true.
-func MinCostEmbedExcluding(g *graph.Graph, base Prices, exclude map[graph.ElementID]bool, app *vnet.App, ingress graph.NodeID) (*vnet.Embedding, float64, bool) {
-	return NewOracle(g, base).MinCostEmbedExcluded(app, ingress, nil, exclude)
 }

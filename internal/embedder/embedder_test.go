@@ -133,7 +133,7 @@ func TestMinCostEmbedExcluding(t *testing.T) {
 	// Exclude the hub: the DP must fall back to placing on the ingress
 	// leaf itself (cheapest remaining option from leaf 1, cost 10/CU).
 	excl := map[graph.ElementID]bool{g.NodeElement(0): true}
-	e, _, ok := MinCostEmbedExcluding(g, base, excl, app, 1)
+	e, _, ok := NewOracle(g, base).MinCostEmbedExcluded(app, 1, nil, excl)
 	if !ok {
 		t.Fatal("no embedding with hub excluded")
 	}

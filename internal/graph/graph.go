@@ -1,8 +1,8 @@
 // Package graph models the physical substrate network of the VNE problem:
 // a connected graph of datacenters (nodes) and inter-datacenter links, each
 // carrying a capacity and a per-capacity-unit usage cost. It also provides
-// the path algorithms (Dijkstra, all-pairs shortest paths, Yen's k-shortest
-// paths) that the planning and embedding layers are built on.
+// the path algorithms (Dijkstra, all-pairs shortest paths) that the
+// planning and embedding layers are built on.
 //
 // Substrate elements — nodes and links — share a single flat index space
 // (see ElementID) so that loads, capacities and residuals can be handled as

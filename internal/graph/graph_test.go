@@ -225,52 +225,6 @@ func TestAllPairsMatchesSingleSource(t *testing.T) {
 	}
 }
 
-func TestKShortestPathsOrderAndLooplessness(t *testing.T) {
-	// Diamond with an extra long way around.
-	//   0-1 (1), 1-3 (1), 0-2 (1.5), 2-3 (1.5), 0-3 (5)
-	g := New()
-	for i := 0; i < 4; i++ {
-		g.AddNode(Node{Cap: 1})
-	}
-	g.AddLink(0, 1, 1, 1)
-	g.AddLink(1, 3, 1, 1)
-	g.AddLink(0, 2, 1, 1.5)
-	g.AddLink(2, 3, 1, 1.5)
-	g.AddLink(0, 3, 1, 5)
-	paths := g.KShortestPaths(0, 3, 3, CostWeight)
-	if len(paths) != 3 {
-		t.Fatalf("got %d paths, want 3", len(paths))
-	}
-	wantCosts := []float64{2, 3, 5}
-	for i, p := range paths {
-		if math.Abs(p.Cost-wantCosts[i]) > 1e-9 {
-			t.Errorf("path %d cost %g, want %g", i, p.Cost, wantCosts[i])
-		}
-		seen := map[NodeID]bool{}
-		for _, n := range p.Nodes {
-			if seen[n] {
-				t.Errorf("path %d revisits node %d", i, n)
-			}
-			seen[n] = true
-		}
-	}
-}
-
-func TestKShortestPathsFewerAvailable(t *testing.T) {
-	g := line(t, 1, 1)
-	paths := g.KShortestPaths(0, 2, 5, CostWeight)
-	if len(paths) != 1 {
-		t.Fatalf("line graph has exactly 1 simple path, got %d", len(paths))
-	}
-}
-
-func TestKShortestPathsZeroK(t *testing.T) {
-	g := line(t, 1)
-	if got := g.KShortestPaths(0, 1, 0, CostWeight); got != nil {
-		t.Fatalf("k=0 returned %v, want nil", got)
-	}
-}
-
 func TestTierString(t *testing.T) {
 	for tier, want := range map[Tier]string{TierEdge: "edge", TierTransport: "transport", TierCore: "core", Tier(9): "tier(9)"} {
 		if got := tier.String(); got != want {

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -324,108 +323,4 @@ func (g *Graph) PathFromLinks(start NodeID, links []LinkID, w WeightFunc) (Path,
 		p.Cost += w(l)
 	}
 	return p, nil
-}
-
-// KShortestPaths returns up to k loopless shortest paths from src to dst in
-// increasing weight order (Yen's algorithm). It returns fewer than k paths
-// if the graph does not contain them.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, w WeightFunc) []Path {
-	if k <= 0 {
-		return nil
-	}
-	first, ok := g.ShortestPath(src, dst, w)
-	if !ok {
-		return nil
-	}
-	paths := []Path{first}
-	var candidates []Path
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		// Each node of the previous path except the last is a spur node.
-		for i := 0; i < len(prev.Nodes)-1; i++ {
-			spur := prev.Nodes[i]
-			rootLinks := prev.Links[:i]
-			rootNodes := prev.Nodes[:i+1]
-
-			banLinks := make(map[LinkID]bool)
-			banNodes := make(map[NodeID]bool)
-			for _, p := range paths {
-				if sharesPrefix(p, rootLinks) && p.Len() > i {
-					banLinks[p.Links[i]] = true
-				}
-			}
-			for _, n := range rootNodes[:i] {
-				banNodes[n] = true
-			}
-
-			wf := func(l Link) float64 {
-				if banLinks[l.ID] || banNodes[l.From] || banNodes[l.To] {
-					return math.Inf(1)
-				}
-				return w(l)
-			}
-			spurPath, ok := g.ShortestPath(spur, dst, wf)
-			if !ok {
-				continue
-			}
-			total := concatPaths(g, rootNodes, rootLinks, spurPath, w)
-			if !containsPath(paths, total) && !containsPath(candidates, total) {
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(a, b int) bool { return candidates[a].Cost < candidates[b].Cost })
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
-	}
-	return paths
-}
-
-func sharesPrefix(p Path, rootLinks []LinkID) bool {
-	if p.Len() < len(rootLinks) {
-		return false
-	}
-	for i, l := range rootLinks {
-		if p.Links[i] != l {
-			return false
-		}
-	}
-	return true
-}
-
-func concatPaths(g *Graph, rootNodes []NodeID, rootLinks []LinkID, spur Path, w WeightFunc) Path {
-	links := make([]LinkID, 0, len(rootLinks)+spur.Len())
-	links = append(links, rootLinks...)
-	links = append(links, spur.Links...)
-	nodes := make([]NodeID, 0, len(rootNodes)+len(spur.Nodes)-1)
-	nodes = append(nodes, rootNodes...)
-	nodes = append(nodes, spur.Nodes[1:]...)
-	var cost float64
-	for _, lid := range links {
-		cost += w(g.links[lid])
-	}
-	return Path{Nodes: nodes, Links: links, Cost: cost}
-}
-
-func containsPath(ps []Path, p Path) bool {
-	for _, q := range ps {
-		if samePath(q, p) {
-			return true
-		}
-	}
-	return false
-}
-
-func samePath(a, b Path) bool {
-	if len(a.Links) != len(b.Links) {
-		return false
-	}
-	for i := range a.Links {
-		if a.Links[i] != b.Links[i] {
-			return false
-		}
-	}
-	return true
 }

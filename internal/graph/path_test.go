@@ -81,47 +81,6 @@ func TestShortestPathInternalConsistency(t *testing.T) {
 	}
 }
 
-// Property: KShortestPaths costs are non-decreasing and all paths connect
-// src to dst without node repetition.
-func TestKShortestPathsProperties(t *testing.T) {
-	rng := rand.New(rand.NewPCG(35, 36))
-	for trial := 0; trial < 15; trial++ {
-		g := randomConnected(12, 14, rng)
-		src := NodeID(rng.IntN(g.NumNodes()))
-		dst := NodeID(rng.IntN(g.NumNodes()))
-		if src == dst {
-			continue
-		}
-		paths := g.KShortestPaths(src, dst, 5, CostWeight)
-		if len(paths) == 0 {
-			t.Fatalf("trial %d: no paths in connected graph", trial)
-		}
-		for i, p := range paths {
-			if p.Src() != src || p.Dst() != dst {
-				t.Fatalf("trial %d: path %d endpoints (%d,%d)", trial, i, p.Src(), p.Dst())
-			}
-			if i > 0 && p.Cost < paths[i-1].Cost-1e-9 {
-				t.Fatalf("trial %d: costs not sorted: %g after %g", trial, p.Cost, paths[i-1].Cost)
-			}
-			seen := map[NodeID]bool{}
-			for _, n := range p.Nodes {
-				if seen[n] {
-					t.Fatalf("trial %d: path %d revisits node %d", trial, i, n)
-				}
-				seen[n] = true
-			}
-		}
-		// Paths must be pairwise distinct.
-		for i := range paths {
-			for j := i + 1; j < len(paths); j++ {
-				if samePath(paths[i], paths[j]) {
-					t.Fatalf("trial %d: duplicate paths %d and %d", trial, i, j)
-				}
-			}
-		}
-	}
-}
-
 func TestPathFromLinksRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 38))
 	g := randomConnected(20, 15, rng)

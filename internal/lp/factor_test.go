@@ -173,6 +173,151 @@ func TestFactorBasisSolves(t *testing.T) {
 	}
 }
 
+// randSparseCol draws a random entering column for an m-row basis: one
+// dominant entry plus up to two off-diagonal ones, rows distinct.
+func randSparseCol(rng *rand.Rand, m int) []Entry {
+	col := []Entry{{Row: rng.IntN(m), Coef: 1 + rng.Float64()*4}}
+	for _, i := range rng.Perm(m)[:rng.IntN(min(3, m))] {
+		if i != col[0].Row {
+			col = append(col, Entry{Row: i, Coef: rng.Float64()*2 - 1})
+		}
+	}
+	return col
+}
+
+// TestEtaUpdateEquivalence drives random column-replacement sequences
+// through the product-form update, up to a full eta file, and checks
+// every FTRAN/BTRAN against a fresh factorization of the updated basis.
+// It also pins update's refactorize signal: false exactly when the eta
+// file reaches maxEtas, or when the pivot is weak (|w_r| ≤
+// etaWeakTol·max|w|).
+func TestEtaUpdateEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	const tol = 1e-8
+	var fw luWorkspace
+	for trial := 0; trial < 40; trial++ {
+		m := 3 + rng.IntN(18)
+		cols, basis := randomBasis(rng, m)
+		lu := new(basisLU)
+		if ok, dep, _ := factorBasis(&fw, lu, m, cols, basis); !ok {
+			t.Fatalf("trial %d: spurious dependency report %v", trial, dep)
+		}
+		w, wRef := make([]float64, m), make([]float64, m)
+		y, yRef, cb := make([]float64, m), make([]float64, m), make([]float64, m)
+		for upd := 1; upd <= maxEtas; upd++ {
+			// Replace a random basis position with a fresh random column,
+			// redrawing until the pivot is comfortably strong so the
+			// sequence can run all the way to a full eta file.
+			var r int
+			var newCol []Entry
+			for {
+				r = rng.IntN(m)
+				newCol = randSparseCol(rng, m)
+				lu.ftranCol(newCol, w)
+				if math.Abs(w[r]) >= 1e-2*maxAbs(w) {
+					break
+				}
+			}
+			healthy := lu.update(r, w)
+			if want := upd < maxEtas; healthy != want {
+				t.Fatalf("trial %d: update %d returned %v, want %v (eta file %d of %d)",
+					trial, upd, healthy, want, len(lu.etas), maxEtas)
+			}
+			cols = append(cols, newCol)
+			basis[r] = len(cols) - 1
+
+			// Reference: factor the updated basis from scratch.
+			ref := new(basisLU)
+			if ok, dep, _ := factorBasis(&fw, ref, m, cols, basis); !ok {
+				t.Fatalf("trial %d update %d: updated basis reported dependent %v", trial, upd, dep)
+			}
+			probe := []Entry{{Row: rng.IntN(m), Coef: rng.Float64()*4 - 2}}
+			if i := rng.IntN(m); i != probe[0].Row {
+				probe = append(probe, Entry{Row: i, Coef: rng.Float64()*4 - 2})
+			}
+			lu.ftranCol(probe, w)
+			ref.ftranCol(probe, wRef)
+			for i := 0; i < m; i++ {
+				if d := math.Abs(w[i] - wRef[i]); d > tol*(1+math.Abs(wRef[i])) {
+					t.Fatalf("trial %d update %d: FTRAN mismatch at %d: %g vs %g", trial, upd, i, w[i], wRef[i])
+				}
+			}
+			for i := range cb {
+				cb[i] = rng.Float64()*2 - 1
+			}
+			lu.btran(cb, y)
+			ref.btran(cb, yRef)
+			for i := 0; i < m; i++ {
+				if d := math.Abs(y[i] - yRef[i]); d > tol*(1+math.Abs(yRef[i])) {
+					t.Fatalf("trial %d update %d: BTRAN mismatch at %d: %g vs %g", trial, upd, i, y[i], yRef[i])
+				}
+			}
+		}
+	}
+}
+
+// TestEtaUpdateWeakPivot pins the other refactorize signal: an entering
+// column whose FTRAN image has |w_r| ≤ etaWeakTol·max|w| makes update
+// report false even with a nearly empty eta file, while a small but
+// not weak pivot keeps it healthy.
+func TestEtaUpdateWeakPivot(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	const m = 8
+	var fw luWorkspace
+	for _, tc := range []struct {
+		wr   float64 // pivot of the entering column's FTRAN image
+		want bool
+	}{
+		{0, false},
+		{etaWeakTol / 4, false},
+		{1e-6, true},
+		{1, true},
+	} {
+		cols, basis := randomBasis(rng, m)
+		lu := new(basisLU)
+		if ok, _, _ := factorBasis(&fw, lu, m, cols, basis); !ok {
+			t.Fatal("random basis reported dependent")
+		}
+		// Build a = B·v with v_r = tc.wr and the other entries of order
+		// one, so FTRAN(a) recovers v: max|w| = 1 and w_r = tc.wr up to
+		// round-off far below the etaWeakTol band.
+		const r = 3
+		v := make([]float64, m)
+		for i := range v {
+			v[i] = 0.5 + 0.5*rng.Float64()
+		}
+		v[0] = 1
+		v[r] = tc.wr
+		dense := make([]float64, m)
+		for pos, j := range basis {
+			for _, e := range cols[j] {
+				dense[e.Row] += e.Coef * v[pos]
+			}
+		}
+		var a []Entry
+		for i, c := range dense {
+			if c != 0 {
+				a = append(a, Entry{Row: i, Coef: c})
+			}
+		}
+		w := make([]float64, m)
+		lu.ftranCol(a, w)
+		if got := lu.update(r, w); got != tc.want {
+			t.Errorf("w_r = %g (FTRAN gave %g, max|w| = %g): update = %v, want %v",
+				tc.wr, w[r], maxAbs(w), got, tc.want)
+		}
+	}
+}
+
+// maxAbs returns max_i |v_i|.
+func maxAbs(v []float64) float64 {
+	mx := 0.0
+	for _, x := range v {
+		mx = math.Max(mx, math.Abs(x))
+	}
+	return mx
+}
+
 // TestFactorBasisReportsDependency: duplicated and zero columns must be
 // reported (aligned with the rows left unpivoted), not silently factored.
 func TestFactorBasisReportsDependency(t *testing.T) {

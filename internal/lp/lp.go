@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 )
 
@@ -80,18 +79,9 @@ type Problem struct {
 	cols    [][]Entry
 	numVars int
 
-	// ForrestTomlin selects in-place Forrest–Tomlin updates of the basis
-	// factorization (see ft.go) instead of the default product-form eta
-	// file. Both are exact up to round-off, but their floating-point
-	// evaluation orders differ, so solves may land on different (equally
-	// optimal) vertices of degenerate problems — which is why the mode
-	// is opt-in rather than the default for this bit-reproducible
-	// codebase. Set it before the first Solve.
-	ForrestTomlin bool
-
 	// Pricing selects the simplex entering-column rule (see pricing.go):
-	// PricingDevex (the default, with partial pricing) or
-	// PricingDantzig (the textbook full-scan ablation). Both reach an
+	// PricingDevex (the zero value, with partial pricing) or
+	// PricingDantzig (the textbook full-scan reference rule). Both reach an
 	// optimum; on degenerate problems they can land on different equally
 	// optimal vertices. Set it before the first Solve.
 	Pricing PricingRule
@@ -102,28 +92,9 @@ type Problem struct {
 	ws atomic.Pointer[workspace]
 }
 
-// ftDefault seeds Problem.ForrestTomlin for problems made by NewProblem;
-// settable via SetForrestTomlin or the OLIVE_LP_FT=1 environment
-// variable (the empirical golden-drift switch).
-var ftDefault atomic.Bool
-
-func init() {
-	if os.Getenv("OLIVE_LP_FT") == "1" { //olive:wallclock ablation knob, read once at init; documented in CONTRIBUTING
-		ftDefault.Store(true)
-	}
-}
-
-// SetForrestTomlin switches the package default basis-update scheme for
-// subsequently created problems. It exists so harnesses can flip the
-// whole pipeline (plan builds, serve solves) to Forrest–Tomlin without
-// threading an option through every layer.
-func SetForrestTomlin(on bool) { ftDefault.Store(on) }
-
-// NewProblem returns an empty problem. Pricing is left at
-// PricingDefault, which resolves to the process-wide rule at solve
-// time — so SetPricing/OLIVE_LP_PRICING affect problems already built.
+// NewProblem returns an empty problem.
 func NewProblem() *Problem {
-	return &Problem{ForrestTomlin: ftDefault.Load()}
+	return &Problem{}
 }
 
 // AddRow appends a constraint row and returns its index.
@@ -372,7 +343,7 @@ func (p *Problem) solveOnce(perturb float64, warm *Basis) (*Solution, error) {
 	// reduced costs column generation prices against) by up to ~1e-6 on
 	// badly scaled bases. One rebuild at termination removes that drift;
 	// warm-started re-solves that pivot zero times skip it.
-	if s.lu.nEtas() > 0 {
+	if len(s.lu.etas) > 0 {
 		if err := s.refactorize(); err != nil {
 			return nil, fmt.Errorf("lp: final refactorization: %w", err)
 		}

@@ -3,47 +3,35 @@ package lp
 import (
 	"fmt"
 	"math"
-	"os"
-	"sync/atomic"
 )
 
 // Pricing rules for the primal simplex. The pricing rule decides which
 // nonbasic column enters the basis each iteration; it never affects
 // which points are optimal, only how many pivots (and how much pricing
 // work per pivot) the solve spends reaching one. On degenerate problems
-// different rules land on different — equally optimal — vertices, the
-// same contract as the Forrest–Tomlin update scheme.
+// different rules can land on different — equally optimal — vertices.
 
 // PricingRule selects the simplex entering-column rule.
 type PricingRule int
 
 const (
-	// PricingDefault — the zero value — resolves to the package default
-	// rule at solve time (Devex, unless SetPricing or OLIVE_LP_PRICING
-	// says otherwise), so a zero Problem or Options field always means
-	// "whatever the process is configured for".
-	PricingDefault PricingRule = iota
-	// PricingDevex is the default: approximate steepest-edge pricing
-	// with reference weights (Forrest–Goldfarb Devex), combined with
-	// partial pricing — each iteration scans a rotating section of the
-	// nonbasic columns instead of all of them. Devex weights make the
+	// PricingDevex — the zero value — is approximate steepest-edge
+	// pricing with reference weights (Forrest–Goldfarb Devex), combined
+	// with partial pricing: each iteration scans a rotating section of
+	// the nonbasic columns instead of all of them. Devex weights make the
 	// chosen column a good ratio of objective gain to step distortion,
-	// which is what cuts the pivot count versus Dantzig; partial
-	// pricing cuts the per-iteration scan cost on wide problems.
-	PricingDevex
+	// which is what cuts the pivot count versus Dantzig; partial pricing
+	// cuts the per-iteration scan cost on wide problems.
+	PricingDevex PricingRule = iota
 	// PricingDantzig is the textbook most-negative-reduced-cost rule
-	// with a full scan every iteration — the ablation baseline; the
-	// scan itself is unchanged from the pre-Devex solver (solver-wide
-	// output can still differ from older releases, e.g. the final
-	// refactorization now certifies duals under either rule).
+	// with a full scan every iteration — the reference rule Devex is
+	// measured and cross-checked against.
 	PricingDantzig
 )
 
 // String returns the rule name as used in metric labels.
 func (r PricingRule) String() string {
 	switch r {
-	case PricingDefault:
-		return "default"
 	case PricingDevex:
 		return "devex"
 	case PricingDantzig:
@@ -51,33 +39,6 @@ func (r PricingRule) String() string {
 	default:
 		return fmt.Sprintf("pricing(%d)", int(r))
 	}
-}
-
-// pricingDefault is what PricingDefault resolves to; settable via
-// SetPricing or the OLIVE_LP_PRICING environment variable (the
-// golden-isolation ablation switch, mirroring OLIVE_LP_FT).
-var pricingDefault atomic.Int32
-
-func init() {
-	if os.Getenv("OLIVE_LP_PRICING") == "dantzig" { //olive:wallclock ablation knob, read once at init; documented in CONTRIBUTING
-		pricingDefault.Store(int32(PricingDantzig))
-	}
-}
-
-// SetPricing switches the rule PricingDefault resolves to, so harnesses
-// can flip the whole pipeline (plan builds, SLOTOFF, serve solves)
-// without threading an option through every layer.
-func SetPricing(r PricingRule) { pricingDefault.Store(int32(r)) }
-
-// resolve maps PricingDefault to the configured process-wide rule.
-func (r PricingRule) resolve() PricingRule {
-	if r == PricingDefault {
-		r = PricingRule(pricingDefault.Load())
-		if r == PricingDefault {
-			r = PricingDevex
-		}
-	}
-	return r
 }
 
 // Devex and partial-pricing policy.

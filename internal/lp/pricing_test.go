@@ -139,35 +139,22 @@ func TestPivotCountGuard(t *testing.T) {
 	}
 }
 
-// TestPricingRuleResolution pins the PricingDefault plumbing: the zero
-// value resolves to the process default, SetPricing flips it for
-// already-built problems, and Solution.Rule reports the resolved rule.
+// TestPricingRuleResolution pins the zero value: a problem that never
+// sets Pricing solves under Devex, and Solution.Rule reports the rule
+// the solve ran under.
 func TestPricingRuleResolution(t *testing.T) {
-	mk := func() *Problem {
-		p := NewProblem()
-		r := p.AddRow(LE, 4)
-		p.MustAddVar(-1, 0, 3, []Entry{{Row: r, Coef: 1}})
-		return p
-	}
-	p := mk()
-	if p.Pricing != PricingDefault {
-		t.Fatalf("NewProblem pricing = %v, want PricingDefault", p.Pricing)
+	p := NewProblem()
+	r := p.AddRow(LE, 4)
+	p.MustAddVar(-1, 0, 3, []Entry{{Row: r, Coef: 1}})
+	if p.Pricing != PricingDevex {
+		t.Fatalf("NewProblem pricing = %v, want devex", p.Pricing)
 	}
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Rule != PricingDevex {
-		t.Fatalf("default resolved to %v, want devex", sol.Rule)
-	}
-	SetPricing(PricingDantzig)
-	defer SetPricing(PricingDevex)
-	sol, err = mk().Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Rule != PricingDantzig {
-		t.Fatalf("after SetPricing(dantzig): rule %v", sol.Rule)
+		t.Fatalf("zero-value problem solved under %v, want devex", sol.Rule)
 	}
 }
 

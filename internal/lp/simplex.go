@@ -46,10 +46,6 @@ type simplex struct {
 	iters   int
 	refacts int // refactorization count, surfaced in Solution
 
-	// ft selects Forrest–Tomlin basis updates (see ft.go) for every
-	// factorization of this solve.
-	ft bool
-
 	// pricing state (see pricing.go)
 	rule        PricingRule
 	gamma       []float64 // Devex reference weights, one per column
@@ -83,7 +79,7 @@ type rowEnt struct {
 // alias the problem's own columns (the simplex never mutates entries).
 func (p *Problem) newSimplex(perturb float64, ws *workspace) (*simplex, []float64) {
 	m := len(p.rhs)
-	s := &simplex{m: m, nStruct: p.numVars, ws: ws, ft: p.ForrestTomlin, rule: p.Pricing.resolve()}
+	s := &simplex{m: m, nStruct: p.numVars, ws: ws, rule: p.Pricing}
 
 	ws.rowNeg = growSlice(ws.rowNeg, m)
 	rowNeg := ws.rowNeg
@@ -441,7 +437,6 @@ func (s *simplex) refactorize() error {
 		lu := s.ws.takeLU(s.lu)
 		ok, depPos, depRows := factorBasis(&s.ws.fw, lu, s.m, s.cols, s.basis)
 		if ok {
-			lu.ft = s.ft
 			s.lu = lu
 			break
 		}
@@ -581,7 +576,7 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 		// to absorb a dependent column and die at the next
 		// refactorization. Refresh the factorization and re-run the
 		// ratio test on the recomputed column before committing.
-		if leave >= 0 && math.Abs(w[leave]) < weakPivot && s.lu.nEtas() > 0 {
+		if leave >= 0 && math.Abs(w[leave]) < weakPivot && len(s.lu.etas) > 0 {
 			if err := s.refactorize(); err != nil {
 				return 0, err
 			}

@@ -4,30 +4,8 @@ import "sync/atomic"
 
 // Solve instrumentation. The package keeps always-on process-wide
 // counters — a handful of atomic adds per solve, and solves are orders
-// of magnitude rarer than pivots — and offers an optional per-solve
-// hook for sinks that want the individual events (the serving layer's
-// metrics registry). Neither path can perturb solver decisions: both
-// observe a finished Solution.
-
-// SolveStats describes one completed solve, as delivered to the hook.
-type SolveStats struct {
-	// Status is the final solve status.
-	Status Status
-	// Pivots is the simplex pivot count across both phases.
-	Pivots int
-	// Refactorizations is the basis LU rebuild count.
-	Refactorizations int
-	// PricingScans counts the nonbasic columns pricing examined.
-	PricingScans int
-	// BlandPivots is the subset of Pivots taken under the Bland
-	// anti-cycling fallback.
-	BlandPivots int
-	// Rule is the pricing rule the solve ran under.
-	Rule PricingRule
-	// WarmStarted reports a successful warm start (SolveFrom that did
-	// not fall back to a cold solve).
-	WarmStarted bool
-}
+// of magnitude rarer than pivots. They observe a finished Solution, so
+// they cannot perturb solver decisions.
 
 // CountersSnapshot is a point-in-time copy of the package counters.
 // All fields are cumulative since process start.
@@ -65,8 +43,6 @@ var counters struct {
 	pivotsBland   atomic.Int64
 }
 
-var solveHook atomic.Pointer[func(SolveStats)]
-
 // Stats snapshots the package-wide solve counters.
 func Stats() CountersSnapshot {
 	return CountersSnapshot{
@@ -82,19 +58,7 @@ func Stats() CountersSnapshot {
 	}
 }
 
-// SetSolveHook installs f to be called after every completed solve
-// (nil uninstalls). The hook runs on the solving goroutine; keep it
-// cheap and never call back into the solver from it.
-func SetSolveHook(f func(SolveStats)) {
-	if f == nil {
-		solveHook.Store(nil)
-		return
-	}
-	solveHook.Store(&f)
-}
-
-// recordSolve folds one completed solution into the counters and fires
-// the hook.
+// recordSolve folds one completed solution into the counters.
 func recordSolve(sol *Solution) {
 	counters.solves.Add(1)
 	counters.pivots.Add(int64(sol.Iterations))
@@ -114,16 +78,5 @@ func recordSolve(sol *Solution) {
 	}
 	if sol.WarmStarted {
 		counters.warmHits.Add(1)
-	}
-	if h := solveHook.Load(); h != nil {
-		(*h)(SolveStats{
-			Status:           sol.Status,
-			Pivots:           sol.Iterations,
-			Refactorizations: sol.Refactorizations,
-			PricingScans:     sol.PricingScans,
-			BlandPivots:      sol.BlandPivots,
-			Rule:             sol.Rule,
-			WarmStarted:      sol.WarmStarted,
-		})
 	}
 }
